@@ -33,6 +33,10 @@ import (
 	"resilience/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow or idle connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
+
 // options carries every run parameter; tests fill it directly.
 type options struct {
 	addr        string
@@ -109,7 +113,7 @@ func run(o options) error {
 		rt.Shutdown(context.Background())
 		return err
 	}
-	hs := &http.Server{Handler: rt}
+	hs := &http.Server{Handler: rt, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("resilience-router listening on http://%s (%d replicas)", ln.Addr(), len(urls))

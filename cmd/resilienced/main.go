@@ -32,6 +32,10 @@ import (
 	"resilience/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow or idle connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
+
 // options carries every run parameter; tests fill it directly.
 type options struct {
 	addr       string
@@ -101,7 +105,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: svc}
+	hs := &http.Server{Handler: svc, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("resilienced listening on http://%s", ln.Addr())

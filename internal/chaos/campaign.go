@@ -132,8 +132,8 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 }
 
 func isCR(scheme string) bool {
-	u := strings.ToUpper(scheme)
-	return strings.HasPrefix(u, "CR") || u == "LCR"
+	row, ok := core.LookupScheme(scheme)
+	return ok && row.Checkpoints
 }
 
 // Result is the outcome of one scenario.

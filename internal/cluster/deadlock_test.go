@@ -85,6 +85,76 @@ func TestDeadlockRecvFromExitedRank(t *testing.T) {
 	}
 }
 
+// TestCoopDeadlockDiagnostics checks that a rank parked in a collective or
+// in the buffer-reusing receive is woken when its peer exits, and fails
+// with the same diagnostics as the allocating paths above.
+func TestCoopDeadlockDiagnostics(t *testing.T) {
+	err := runWithWatchdog(t, 4, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return nil
+		}
+		c.Barrier()
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("mismatched collective: want deadlock diagnostic, got: %v", err)
+	}
+
+	err = runWithWatchdog(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return nil
+		}
+		c.RecvInto(0, 3, make([]float64, 1))
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") ||
+		!strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("recv from exited: want named-rank deadlock diagnostic, got: %v", err)
+	}
+}
+
+func TestDeadlockReceiveCycle(t *testing.T) {
+	// Every rank in the cycle stays alive and blocked, so no exited-rank
+	// probe can fire: two ranks each receiving from the other, and a
+	// rank in a barrier while its peer waits for a message it never
+	// sends. The last rank to block, or the exit that leaves every live
+	// rank blocked, must find no wait that can be satisfied and abort
+	// the run.
+	programs := []struct {
+		name string
+		p    int
+		fn   func(c *Comm) error
+	}{
+		{"recv-recv", 2, func(c *Comm) error {
+			c.RecvInto(1-c.Rank(), 5, make([]float64, 1))
+			return nil
+		}},
+		{"barrier-recv", 2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				c.Barrier()
+			} else {
+				c.Recv(0, 5)
+			}
+			return nil
+		}},
+		// The cycle closes only when a third, uninvolved rank exits.
+		{"recv-recv-exit", 3, func(c *Comm) error {
+			if c.Rank() == 2 {
+				c.Compute(1e6)
+				return nil
+			}
+			c.RecvInto(1-c.Rank(), 5, make([]float64, 1))
+			return nil
+		}},
+	}
+	for _, prog := range programs {
+		err := runWithWatchdog(t, prog.p, prog.fn)
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%s: want deadlock diagnostic, got: %v", prog.name, err)
+		}
+	}
+}
+
 func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
 	// Same through the nonblocking IRecvInto/Wait path.
 	err := runWithWatchdog(t, 2, func(c *Comm) error {

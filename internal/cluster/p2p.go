@@ -19,6 +19,8 @@ type mailbox struct {
 	queues map[mkey]*msgQueue
 	pool   sync.Pool // of *payload
 	dead   bool
+
+	sleepers sleepers
 }
 
 type mkey struct{ from, to, tag int }
@@ -50,7 +52,7 @@ func newMailbox(rt *Runtime) *mailbox {
 }
 
 // queue returns (creating if needed) the FIFO for k. Callers must hold
-// the mailbox locked (goroutine mode) or the scheduling token (coop).
+// the mailbox locked.
 func (mb *mailbox) queue(k mkey) *msgQueue {
 	q := mb.queues[k]
 	if q == nil {
@@ -58,43 +60,6 @@ func (mb *mailbox) queue(k mkey) *msgQueue {
 		mb.queues[k] = q
 	}
 	return q
-}
-
-// lock/unlock guard the mailbox in goroutine mode; no-ops under the
-// cooperative scheduler, where exactly one rank runs at a time.
-func (mb *mailbox) lock() {
-	if mb.rt.sched == nil {
-		mb.mu.Lock()
-	}
-}
-
-func (mb *mailbox) unlock() {
-	if mb.rt.sched == nil {
-		mb.mu.Unlock()
-	}
-}
-
-// wake publishes a newly queued message on k: broadcast in goroutine
-// mode (every blocked receiver wakes, re-locks and re-checks its own
-// queue), an exact wake of k's receiver — one bit test — in cooperative
-// mode.
-func (mb *mailbox) wake(k mkey) {
-	if s := mb.rt.sched; s != nil {
-		s.wakeMail(k)
-		return
-	}
-	mb.cond.Broadcast()
-}
-
-// waitFor blocks the rank until a message may be queued on k: cond.Wait
-// in goroutine mode, a scheduler park in cooperative mode. Either way
-// the caller re-checks the queue on return.
-func (mb *mailbox) waitFor(rank int, k mkey) {
-	if s := mb.rt.sched; s != nil {
-		s.parkMail(rank, k)
-		return
-	}
-	mb.cond.Wait()
 }
 
 func (mb *mailbox) getPayload(n int) *payload {
@@ -114,13 +79,9 @@ func (mb *mailbox) putPayload(pl *payload) {
 }
 
 func (mb *mailbox) abort() {
-	if s := mb.rt.sched; s != nil {
-		mb.dead = true
-		s.wakeAll()
-		return
-	}
 	mb.mu.Lock()
 	mb.dead = true
+	mb.rt.release(&mb.sleepers)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
@@ -159,12 +120,12 @@ func (c *Comm) post(to, tag int, data []float64, arrive float64) {
 	copy(pl.data, data)
 	msg := message{pl: pl, arrive: arrive}
 
-	mb.lock()
-	k := mkey{from: c.rank, to: to, tag: tag}
-	q := mb.queue(k)
+	mb.mu.Lock()
+	q := mb.queue(mkey{from: c.rank, to: to, tag: tag})
 	q.msgs = append(q.msgs, msg)
-	mb.unlock()
-	mb.wake(k)
+	mb.rt.release(&mb.sleepers)
+	mb.mu.Unlock()
+	mb.cond.Broadcast()
 }
 
 // SendReq is the completion handle returned by ISend.
@@ -267,7 +228,7 @@ func (c *Comm) dequeue(from, tag int) message {
 	}
 	mb := c.rt.mail
 	k := mkey{from: from, to: c.rank, tag: tag}
-	mb.lock()
+	mb.mu.Lock()
 	mq := mb.queue(k)
 	for len(mq.msgs) == 0 && !mb.dead {
 		// Deadlock check: an exited sender can never post the message we
@@ -275,15 +236,15 @@ func (c *Comm) dequeue(from, tag int) message {
 		// abort sets mb.dead, so continue (not wait) past our own wake-up.
 		if c.rt.isExited(from) {
 			err := fmt.Errorf("cluster: deadlock: rank %d blocked receiving from rank %d (tag %d), which exited without sending", c.rank, from, tag)
-			mb.unlock()
+			mb.mu.Unlock()
 			c.rt.abort(err)
-			mb.lock()
+			mb.mu.Lock()
 			continue
 		}
-		mb.waitFor(c.rank, k)
+		c.rt.sleep(c.rank, rankWait{mail: true, key: k}, mb.cond, &mb.sleepers)
 	}
 	if mb.dead {
-		mb.unlock()
+		mb.mu.Unlock()
 		panic(abortPanic{err: fmt.Errorf("cluster: recv on aborted runtime")})
 	}
 	q := mq.msgs
@@ -291,7 +252,7 @@ func (c *Comm) dequeue(from, tag int) message {
 	n := copy(q, q[1:])
 	q[n] = message{}
 	mq.msgs = q[:n]
-	mb.unlock()
+	mb.mu.Unlock()
 	return msg
 }
 

@@ -22,15 +22,13 @@
 // Recovery code switches waiting ranks to idle/sleep accounting (and
 // optionally a lower frequency) through SetWaitIdle and SetFreq.
 //
-// Execution modes: the runtime can step its ranks in one of two ways
-// (see SchedMode). Both produce bitwise-identical clocks, energy,
-// traces and solutions, because every result is derived from virtual
-// time and rank-ordered reductions, never from host scheduling order.
+// Every rank is one goroutine blocking on mutex/cond pairs. Clocks,
+// energy, traces and solutions are functions of virtual time and
+// rank-ordered reductions only, never of host scheduling order.
 package cluster
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,71 +39,6 @@ import (
 	"resilience/internal/telemetry"
 )
 
-// SchedMode selects how the runtime steps its ranks.
-type SchedMode int
-
-const (
-	// SchedAuto resolves the mode from the RES_SCHED environment
-	// variable ("coop" for the cooperative scheduler, "goroutine" for
-	// the preemptive one) and defaults to SchedGoroutine.
-	SchedAuto SchedMode = iota
-	// SchedGoroutine runs one preemptively-scheduled goroutine per rank
-	// with mutex/cond blocking — the original runtime and the golden
-	// oracle the cooperative mode is pinned against.
-	SchedGoroutine
-	// SchedCoop runs all ranks as run-to-block coroutines stepped by a
-	// deterministic cooperative scheduler: exactly one rank executes at
-	// a time, until it blocks on a receive or a collective, and the
-	// scheduler then resumes the next runnable rank in rank order. No
-	// mutexes, no condition-variable broadcasts, no spurious wake-ups.
-	SchedCoop
-)
-
-func (m SchedMode) String() string {
-	switch m {
-	case SchedAuto:
-		return "auto"
-	case SchedGoroutine:
-		return "goroutine"
-	case SchedCoop:
-		return "coop"
-	}
-	return fmt.Sprintf("SchedMode(%d)", int(m))
-}
-
-// ParseSched parses a scheduler mode name as the CLIs spell it: "" or
-// "auto" (defer to RES_SCHED), "goroutine", or "coop"/"cooperative"/
-// "coroutine".
-func ParseSched(s string) (SchedMode, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return SchedAuto, nil
-	case "goroutine":
-		return SchedGoroutine, nil
-	case "coop", "cooperative", "coroutine":
-		return SchedCoop, nil
-	}
-	return SchedAuto, fmt.Errorf("cluster: unknown scheduler mode %q (want auto, goroutine or coop)", s)
-}
-
-// schedFromEnv resolves SchedAuto against the RES_SCHED environment
-// variable. Unrecognized values fall back to the goroutine oracle so a
-// typo can never silently change which engine produced a result set.
-func schedFromEnv() SchedMode {
-	switch strings.ToLower(os.Getenv("RES_SCHED")) {
-	case "coop", "cooperative", "coroutine":
-		return SchedCoop
-	}
-	return SchedGoroutine
-}
-
-// Options configures a Runtime beyond its rank count and platform.
-type Options struct {
-	// Sched selects the execution mode; SchedAuto (the zero value)
-	// resolves RES_SCHED.
-	Sched SchedMode
-}
-
 // Runtime couples P ranks to a platform and a meter for one parallel run.
 type Runtime struct {
 	p     int
@@ -115,11 +48,6 @@ type Runtime struct {
 
 	coll *collectiveState
 	mail *mailbox
-
-	// sched is non-nil iff the runtime runs in cooperative mode. The
-	// wait/wake sites in collectives.go and p2p.go branch on it: nil
-	// means mutex/cond blocking, non-nil means park in the scheduler.
-	sched *coopSched
 
 	// abortFlag is the hot-path view of "has any rank failed": checkAbort
 	// runs before every operation, so it reads one atomic instead of
@@ -134,54 +62,49 @@ type Runtime struct {
 	// with a diagnostic instead of hanging the run (and the test suite)
 	// forever. A bitset (vs. the former mutex-guarded []bool) keeps the
 	// per-receive deadlock probe lock-free.
-	exited []atomic.Uint64
+	exited  []atomic.Uint64
+	nExited atomic.Int32
+
+	// Cycle detection among live ranks, which the exited-rank probes
+	// cannot see (see sleep): waits[r] is what rank r last slept on,
+	// written under the lock of that state; blocked counts the ranks
+	// asleep whose waits no state change has touched since.
+	waits   []rankWait
+	blocked atomic.Int32
+}
+
+// rankWait is what a blocked rank sleeps on: a message on key when mail
+// is set, otherwise the completion of collective generation gen.
+type rankWait struct {
+	mail bool
+	key  mkey
+	gen  int64
 }
 
 // abortPanic is the sentinel carried by panics raised when the run has
 // been aborted by another rank's failure.
 type abortPanic struct{ err error }
 
-// NewRuntime builds a runtime for p ranks in the default (auto) mode.
+// NewRuntime builds a runtime for p ranks.
 func NewRuntime(p int, plat *platform.Platform, meter *power.Meter) *Runtime {
-	return NewRuntimeOpts(p, plat, meter, Options{})
-}
-
-// NewRuntimeOpts builds a runtime for p ranks with explicit options.
-func NewRuntimeOpts(p int, plat *platform.Platform, meter *power.Meter, opts Options) *Runtime {
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
 	rt := &Runtime{p: p, plat: plat, meter: meter,
-		exited: make([]atomic.Uint64, (p+63)/64)}
+		exited: make([]atomic.Uint64, (p+63)/64),
+		waits:  make([]rankWait, p)}
 	// Pre-size the meter's per-core table so every clock advance takes the
 	// meter's lock-free single-writer path (core id = rank).
 	meter.Reserve(p)
 	rt.coll = newCollectiveState(p, rt)
 	rt.mail = newMailbox(rt)
-	mode := opts.Sched
-	if mode == SchedAuto {
-		mode = schedFromEnv()
-	}
-	if mode == SchedCoop {
-		rt.sched = newCoopSched(rt)
-	}
 	return rt
 }
 
-// Sched reports the resolved execution mode.
-func (rt *Runtime) Sched() SchedMode {
-	if rt.sched != nil {
-		return SchedCoop
-	}
-	return SchedGoroutine
-}
-
 // markExited records that a rank's function returned and wakes every
-// blocked waiter so it can re-run its deadlock check. In goroutine mode
-// each wait mutex is taken (and released) before its broadcast so a
-// waiter cannot evaluate the check and go to sleep across the
-// transition; in cooperative mode the scheduler's progress note plays
-// the same role (parked ranks re-check when next stepped).
+// blocked waiter so it can re-run its deadlock checks. Each wait mutex is
+// taken before its broadcast so a waiter cannot evaluate the checks and
+// go to sleep across the transition.
 func (rt *Runtime) markExited(rank int) {
 	w := &rt.exited[rank>>6]
 	bit := uint64(1) << (uint(rank) & 63)
@@ -191,16 +114,13 @@ func (rt *Runtime) markExited(rank int) {
 			break
 		}
 	}
-	if rt.sched != nil {
-		rt.sched.noteProgress()
-		return
-	}
+	rt.nExited.Add(1)
 	rt.coll.mu.Lock()
-	//lint:ignore SA2001 empty critical section orders the flag before the wake-up
+	rt.release(&rt.coll.sleepers)
 	rt.coll.mu.Unlock()
 	rt.coll.cond.Broadcast()
 	rt.mail.mu.Lock()
-	//lint:ignore SA2001 see above
+	rt.release(&rt.mail.sleepers)
 	rt.mail.mu.Unlock()
 	rt.mail.cond.Broadcast()
 }
@@ -208,6 +128,113 @@ func (rt *Runtime) markExited(rank int) {
 // isExited reports whether a rank's function has returned.
 func (rt *Runtime) isExited(rank int) bool {
 	return rt.exited[rank>>6].Load()&(uint64(1)<<(uint(rank)&63)) != 0
+}
+
+// sleepers counts the ranks asleep on one state's cond that blocked
+// includes. Guarded by that state's lock.
+type sleepers struct {
+	n     int32
+	epoch uint64 // bumped whenever release removes sleepers
+}
+
+// release removes every rank asleep on s from the blocked count, ahead of
+// the broadcast that wakes them. Called under s's lock, in the critical
+// section that makes the state change the broadcast announces, so
+// blocked counts only ranks whose waits that change has not touched.
+func (rt *Runtime) release(s *sleepers) {
+	if s.n > 0 {
+		rt.blocked.Add(-s.n)
+		s.n = 0
+		s.epoch++
+	}
+}
+
+// sleep blocks the rank on cond until its wait w may be satisfied.
+// Called with cond.L held, after the caller's own checks, which it
+// re-runs on return. The rank records w and counts itself blocked in s;
+// if that makes every live rank blocked, it unlocks cond.L to run
+// detectDeadlock, and then sleeps only if it is still counted and w is
+// still unsatisfied: while unlocked it may have missed the broadcast
+// that satisfies it.
+func (rt *Runtime) sleep(rank int, w rankWait, cond *sync.Cond, s *sleepers) {
+	rt.waits[rank] = w
+	s.n++
+	epoch := s.epoch
+	if rt.blocked.Add(1) == int32(rt.p)-rt.nExited.Load() {
+		cond.L.Unlock()
+		rt.detectDeadlock()
+		cond.L.Lock()
+		if s.epoch != epoch {
+			return // released meanwhile
+		}
+		if rt.satisfiable(w) {
+			s.n--
+			rt.blocked.Add(-1)
+			return
+		}
+	}
+	cond.Wait()
+	if s.epoch == epoch {
+		// Woken by a broadcast whose release ran before this rank
+		// counted itself in.
+		s.n--
+		rt.blocked.Add(-1)
+	}
+}
+
+// satisfiable reports whether the recorded wait w can make progress: its
+// state was aborted, the event it waits for happened, or an exited rank
+// means its re-check will abort with a diagnostic. Called with the lock
+// of the state w waits on held.
+func (rt *Runtime) satisfiable(w rankWait) bool {
+	if w.mail {
+		mb := rt.mail
+		return mb.dead || len(mb.queue(w.key).msgs) > 0 || rt.isExited(w.key.from)
+	}
+	cs := rt.coll
+	return cs.dead || cs.gen != w.gen || len(cs.missing()) > 0
+}
+
+// detectDeadlock aborts the run when every live rank is blocked and none
+// of their recorded waits can be satisfied: a receive or collective cycle
+// among ranks that are all still alive.
+func (rt *Runtime) detectDeadlock() {
+	if err := rt.cycleError(); err != nil {
+		rt.abort(err)
+	}
+}
+
+// cycleError returns the deadlock diagnostic detectDeadlock aborts with,
+// or nil. With mail.mu and coll.mu held and every live rank counted,
+// each is asleep in cond.Wait, woken by a broadcast for a change it has
+// already seen, or in sleep's own detection path; nothing else runs, so
+// the state it reads cannot move.
+func (rt *Runtime) cycleError() error {
+	mb, cs := rt.mail, rt.coll
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	live := int32(rt.p) - rt.nExited.Load()
+	if rt.blocked.Load() != live {
+		return nil
+	}
+	for r := 0; r < rt.p; r++ {
+		if !rt.isExited(r) && rt.satisfiable(rt.waits[r]) {
+			return nil
+		}
+	}
+	var waits []string
+	for r := 0; r < rt.p; r++ {
+		switch w := rt.waits[r]; {
+		case rt.isExited(r):
+		case w.mail:
+			waits = append(waits, fmt.Sprintf("rank %d receiving from rank %d (tag %d)", r, w.key.from, w.key.tag))
+		default:
+			waits = append(waits, fmt.Sprintf("rank %d in collective %d", r, w.gen))
+		}
+	}
+	return fmt.Errorf("cluster: deadlock: all %d live ranks blocked: %s", live, strings.Join(waits, ", "))
 }
 
 // SetRecorder attaches an observability recorder before Run: every rank's
@@ -260,38 +287,33 @@ func (rt *Runtime) Run(fn func(c *Comm) error) (maxClock float64, err error) {
 		c := newComm(rank, rt)
 		defer func() {
 			clocks[rank] = c.clock
-			rec := recover()
-			// Exit is marked before abort handling so waiters woken by
-			// either path re-evaluate against the final exit set.
-			rt.markExited(rank)
-			if rec != nil {
+			// A panic aborts the run before the exit is marked, so the
+			// panic, not the exit it causes, is the run's first error.
+			if rec := recover(); rec != nil {
 				if ap, ok := rec.(abortPanic); ok {
 					errs[rank] = ap.err
-					return
+				} else {
+					err := fmt.Errorf("cluster: rank %d panicked: %v", rank, rec)
+					errs[rank] = err
+					rt.abort(err)
 				}
-				err := fmt.Errorf("cluster: rank %d panicked: %v", rank, rec)
-				errs[rank] = err
-				rt.abort(err)
 			}
+			rt.markExited(rank)
 		}()
 		if e := fn(c); e != nil {
 			errs[rank] = e
 			rt.abort(e)
 		}
 	}
-	if rt.sched != nil {
-		rt.sched.run(body)
-	} else {
-		var wg sync.WaitGroup
-		for r := 0; r < rt.p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				body(rank)
-			}(r)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for r := 0; r < rt.p; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			body(rank)
+		}(r)
 	}
+	wg.Wait()
 	for _, c := range clocks {
 		if c > maxClock {
 			maxClock = c

@@ -10,14 +10,12 @@ import (
 	"sort"
 	"sync"
 
-	"resilience/internal/cluster"
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/report"
-	"resilience/internal/solver"
 )
 
 // Config selects the scale and environment all experiments run in.
@@ -50,16 +48,6 @@ type Config struct {
 	// off". Rendered output is byte-identical either way — the point is to
 	// exercise the purity guarantee under the whole experiment matrix.
 	Observe bool
-	// Sched selects the cluster execution mode for every cell solve.
-	// cluster.SchedAuto (the zero value) means "use the RES_SCHED
-	// environment variable, else the goroutine runtime". All rendered
-	// tables are byte-identical across modes.
-	Sched cluster.SchedMode
-	// SpMV selects the local SpMV kernel layout for every cell solve.
-	// solver.SpMVAuto (the zero value) means "use the RES_SPMV
-	// environment variable, else CSR". All rendered tables are
-	// byte-identical across layouts.
-	SpMV solver.SpMVLayout
 }
 
 // Default returns the standard configuration for a scale.
@@ -246,8 +234,6 @@ func (c Config) baseConfig(s *system) core.RunConfig {
 		MaxIters: 40 * s.spec.TargetIters(c.Scale),
 		Seed:     c.Seed,
 		Overlap:  c.overlapEnabled(),
-		Sched:    c.Sched,
-		SpMV:     c.SpMV,
 	}
 	if c.observeEnabled() {
 		// One private recorder per cell, discarded with the report: the

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"resilience/internal/platform"
 )
 
 func TestMeterTotals(t *testing.T) {
@@ -139,33 +137,6 @@ func TestPhaseWindowsMerge(t *testing.T) {
 	}
 	if len(m.PhaseWindows("nope")) != 0 {
 		t.Error("unknown phase must have no windows")
-	}
-}
-
-func TestGovernors(t *testing.T) {
-	p := platform.Default()
-	perf, err := NewGovernor("performance", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf.Freq(false, 1.2) != p.FreqMax {
-		t.Error("performance must pin fmax")
-	}
-	ond, _ := NewGovernor("ondemand", p)
-	if ond.Freq(true, 0) != p.FreqMax || ond.Freq(false, 0) != p.FreqMin {
-		t.Error("ondemand semantics wrong")
-	}
-	usr, _ := NewGovernor("userspace", p)
-	if usr.Freq(true, 1.55) != p.ClampFreq(1.55) {
-		t.Error("userspace must clamp to ladder")
-	}
-	if _, err := NewGovernor("bogus", p); err == nil {
-		t.Error("unknown governor accepted")
-	}
-	for _, g := range []Governor{perf, ond, usr} {
-		if g.Name() == "" {
-			t.Error("governor must have a name")
-		}
 	}
 }
 

@@ -153,3 +153,34 @@ func TestBatchRejectsMalformed(t *testing.T) {
 		t.Fatalf("oversized batch status = %d, want 400", code)
 	}
 }
+
+// TestBatchRejectsOversizeBody: a /batch body over maxBatchBytes is
+// refused with 413, while a full batch of campaign verdict jobs fits
+// well inside the limit.
+func TestBatchRejectsOversizeBody(t *testing.T) {
+	_, r1 := replica(t, service.Config{Workers: 1})
+	_, rts := boot(t, Config{}, r1.URL)
+
+	full := make([]service.JobRequest, maxBatchItems)
+	for i := range full {
+		s := chaos.ScenarioAt(chaos.Options{Seed: 1, MaxFaults: 6}, i)
+		full[i] = service.JobRequest{Scenario: s.Args(), Verdict: true}
+	}
+	body, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxBatchBytes/8 {
+		t.Fatalf("full campaign batch is %d bytes, too close to the %d-byte limit", len(body), maxBatchBytes)
+	}
+
+	huge := `[{"sleep_ms":1,"scenario":"` + strings.Repeat("x", maxBatchBytes) + `"}]`
+	resp, err := http.Post(rts.URL+"/batch", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize /batch status = %d, want 413", resp.StatusCode)
+	}
+}

@@ -437,10 +437,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if code, err := service.DecodeBody(w, r, service.MaxRequestBytes, &req); err != nil {
+		writeError(w, code, "bad request body: "+err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -626,6 +624,10 @@ func (rt *Router) routeOne(req service.JobRequest, body []byte, reqID string) re
 // never hold an admission slot for an unbounded amount of work.
 const maxBatchItems = 1024
 
+// maxBatchBytes bounds one /batch body so that a full batch of items,
+// each as large as /solve accepts, still fits.
+const maxBatchBytes = maxBatchItems * service.MaxRequestBytes
+
 // batchItem is one /batch element's outcome. Body carries the replica's
 // (or the router's error) JSON verbatim — embedding it as a RawMessage
 // keeps each item byte-identical to what a direct /solve would have
@@ -654,10 +656,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var reqs []service.JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+	if code, err := service.DecodeBody(w, r, maxBatchBytes, &reqs); err != nil {
+		writeError(w, code, "bad batch body: "+err.Error())
 		return
 	}
 	if len(reqs) == 0 {

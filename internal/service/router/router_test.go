@@ -60,6 +60,26 @@ func post(t *testing.T, base string, req service.JobRequest) (int, []byte, http.
 	return resp.StatusCode, out, resp.Header
 }
 
+// TestRouterSolveRejectsOversizeBody: an oversize /solve body is refused
+// with 413 at the router, never forwarded.
+func TestRouterSolveRejectsOversizeBody(t *testing.T) {
+	srv, r1 := replica(t, service.Config{Workers: 1})
+	_, rts := boot(t, Config{}, r1.URL)
+
+	body := `{"sleep_ms":1,"scenario":"` + strings.Repeat("x", service.MaxRequestBytes) + `"}`
+	resp, err := http.Post(rts.URL+"/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize /solve status = %d, want 413", resp.StatusCode)
+	}
+	if st := srv.Stats(); st.Admitted != 0 {
+		t.Fatalf("oversize request reached the replica: %+v", st)
+	}
+}
+
 // TestRingStability: removing one member must move only the keys that
 // member owned — every other key keeps its replica (that is the whole
 // point of consistent hashing: a re-shard does not flush every cache).

@@ -366,10 +366,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if code, err := DecodeBody(w, r, MaxRequestBytes, &req); err != nil {
+		writeError(w, code, "bad request body: "+err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -562,6 +560,27 @@ func errorBody(msg string) []byte {
 		return []byte(`{"error":"internal"}`)
 	}
 	return body
+}
+
+// MaxRequestBytes bounds one /solve request body. A scenario job's flag
+// string is a few hundred bytes; this leaves room for scenarios with
+// over a thousand fault events.
+const MaxRequestBytes = 16 << 10
+
+// DecodeBody decodes the JSON request body into v, rejecting unknown
+// fields. It reads at most limit bytes: a larger body fails with status
+// 413, any other malformed body with 400.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

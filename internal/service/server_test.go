@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,28 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Admitted != 0 {
 		t.Fatalf("malformed requests reached the queue: %+v", st)
+	}
+}
+
+// TestSolveRejectsOversizeBody: a body over MaxRequestBytes is refused
+// with 413 before it is decoded in full or reaches the queue.
+func TestSolveRejectsOversizeBody(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	body := `{"scenario":"` + strings.Repeat(" ", MaxRequestBytes) + testScenario + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	if st := srv.Stats(); st.Admitted != 0 {
+		t.Fatalf("oversize request reached the queue: %+v", st)
 	}
 }
 

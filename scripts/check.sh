@@ -33,23 +33,10 @@ go test -race -count=5 ./internal/chaos/... ./internal/service/...
 # '-replay' flag string.
 go run -race ./cmd/chaos -n 50 -seed 1
 
-# Scheduler gate: the cooperative runtime must pass the concurrency and
-# solver suites (deadlock diagnostics included) and render the same
-# seeded chaos campaign byte-for-byte as the goroutine oracle. The SELL
-# SpMV layout rides the same gate: both knobs on at once is the
-# configuration furthest from the defaults.
-sched_dir=$(mktemp -d)
-go run ./cmd/chaos -n 50 -seed 1 > "$sched_dir/goroutine.out"
-RES_SCHED=coop go run ./cmd/chaos -n 50 -seed 1 > "$sched_dir/coop.out"
-cmp "$sched_dir/goroutine.out" "$sched_dir/coop.out"
-rm -rf "$sched_dir"
-RES_SCHED=coop RES_SPMV=sell go test ./internal/cluster/... ./internal/solver/... ./internal/experiments/...
-
 # Fuzz smokes: a few seconds per target on top of the checked-in seed
 # corpora (testdata/fuzz/). Coverage-guided mutation beyond the corpus;
 # any crasher is written back as a new seed.
 go test -run '^$' -fuzz '^FuzzCSRMulVec$' -fuzztime 5s ./internal/sparse
-go test -run '^$' -fuzz '^FuzzSELLFromCSR$' -fuzztime 5s ./internal/sparse
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 5s ./internal/sparse
 go test -run '^$' -fuzz '^FuzzScenarioArgs$' -fuzztime 5s ./internal/chaos
 go test -run '^$' -fuzz '^FuzzCanonicalKey$' -fuzztime 5s ./internal/service
@@ -57,13 +44,11 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 
 # The hot paths must stay allocation-free with no recorder attached
 # (attaching one may allocate for span storage; that variant is measured
-# by BenchmarkCGIterationObserved but not gated). Gated under both
-# schedulers and both SpMV layouts: the CG iteration on the goroutine
-# default and on the cooperative scheduler, plus the blocked SELL kernel.
-go test -run '^$' -bench '^BenchmarkCGIteration(Coop)?$|^BenchmarkSpMVSELL$' \
+# by BenchmarkCGIterationObserved but not gated).
+go test -run '^$' -bench '^BenchmarkCGIteration$' \
     -benchmem -benchtime 2000x . |
-    awk '/^BenchmarkCGIteration[^O]|^BenchmarkSpMVSELL/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
-         END { exit (bad || found != 3) }'
+    awk '/^BenchmarkCGIteration[^O]/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
+         END { exit (bad || found != 1) }'
 
 # The cache serving hot paths (hit, miss, single-flight join) run once
 # per request on the daemon and must also stay allocation-free.
